@@ -80,31 +80,8 @@ let no_spec_elide =
          ~doc:"Keep every check whose elision proof does not survive the \
                Swivel-style speculation model.")
 
-let engine_conv =
-  let parse = function
-    | "interp" -> Ok Wasm.Instance.Interp
-    | "threaded" -> Ok Wasm.Instance.Threaded
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown engine %S (interp|threaded)" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Wasm.Instance.Interp -> "interp"
-      | Wasm.Instance.Threaded -> "threaded")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let engine =
-  Arg.(value & opt engine_conv Wasm.Instance.Threaded
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine: 'threaded' (direct-threaded code, the \
-                 default) or 'interp' (the reference interpreter). \
-                 Results are identical either way; only wall-clock time \
-                 differs.")
-
 let run input config entry args show_meter trace_out show_metrics profile_out
-    seed elide elide_bounds no_spec_elide engine =
+    seed elide elide_bounds no_spec_elide =
   let config = if elide then Cage.Config.with_elision config else config in
   let config =
     if elide_bounds then
@@ -114,7 +91,6 @@ let run input config entry args show_meter trace_out show_metrics profile_out
   let config =
     if no_spec_elide then Cage.Config.with_spec_safe_only config else config
   in
-  let config = Cage.Config.with_engine engine config in
   let meter = Wasm.Meter.create () in
   let wasi = Libc.Wasi.create () in
   (* Observability sink: any of --trace/--metrics/--profile installs
@@ -137,28 +113,7 @@ let run input config entry args show_meter trace_out show_metrics profile_out
                 (In_channel.with_open_text input In_channel.input_all)
             else Wasm.Binary.read_file input
           in
-          (match Wasm.Validate.validate m with
-          | Ok () -> ()
-          | Error e -> failwith ("invalid module: " ^ e));
-          let iconfig = Cage.Config.instance_config ~meter ~seed config in
-          let iconfig =
-            if config.Cage.Config.elide_checks then begin
-              let plan =
-                Analysis.Elide.plan
-                  ~spec_safe:config.Cage.Config.spec_safe_only
-                  ~arena:config.Cage.Config.arena m
-              in
-              { iconfig with
-                Wasm.Instance.elide = plan.Analysis.Elide.bitsets;
-                belide =
-                  (if config.Cage.Config.elide_bounds then
-                     plan.Analysis.Elide.bbitsets
-                   else [||]);
-                arena = plan.Analysis.Elide.arena;
-              }
-            end
-            else iconfig
-          in
+          let iconfig = Cage.Config.module_config ~meter ~seed config m in
           let inst =
             Wasm.Exec.instantiate ~config:iconfig
               ~imports:(Libc.Wasi.imports wasi) m
@@ -179,6 +134,7 @@ let run input config entry args show_meter trace_out show_metrics profile_out
       Ok values
     with
     | Wasm.Instance.Trap msg -> Error ("trap: " ^ msg)
+    | Wasm.Instance.Invalid_module e -> Error ("invalid module: " ^ e)
     | Libc.Wasi.Proc_exit code -> Ok [ Wasm.Values.I32 (Int32.of_int code) ]
     | Minic.Driver.Compile_error msg -> Error msg
     | Wasm.Text.Parse_error msg -> Error ("wat parse error: " ^ msg)
@@ -238,6 +194,6 @@ let cmd =
     (Cmd.info "cage_run" ~doc)
     Term.(const run $ input $ config $ entry $ args $ show_meter $ trace_out
           $ show_metrics $ profile_out $ seed $ elide $ elide_bounds
-          $ no_spec_elide $ engine)
+          $ no_spec_elide)
 
 let () = exit (Cmd.eval' cmd)

@@ -13,7 +13,7 @@
 let usage () =
   prerr_endline
     "usage: cage_serve [--requests N] [--seed N] [--smoke] [--json FILE] \
-     [--engine interp|threaded] [--trace-requests FILE] [--slo-report]";
+     [--trace-requests FILE] [--slo-report]";
   exit 2
 
 let int_flag argv name ~default =
@@ -158,12 +158,6 @@ let () =
   let requests = int_flag argv "--requests" ~default:(if smoke then 4_000 else 100_000) in
   let seed = int_flag argv "--seed" ~default:42 in
   let json = str_flag argv "--json" ~default:(if smoke then "" else "BENCH_serve.json") in
-  let engine =
-    match str_flag argv "--engine" ~default:"threaded" with
-    | "interp" -> Wasm.Instance.Interp
-    | "threaded" -> Wasm.Instance.Threaded
-    | _ -> usage ()
-  in
   let trace_path = str_flag argv "--trace-requests" ~default:"" in
   let slo_report = List.mem "--slo-report" argv in
   let recorder =
@@ -179,7 +173,7 @@ let () =
   in
   let (cmp, wall) =
     time (fun () ->
-        Harness.Serve_bench.compare ~requests ~seed ~engine ?recorder
+        Harness.Serve_bench.compare ~requests ~seed ?recorder
           ?collect ())
   in
   (* one wall figure per side is approximated by an even split; the

@@ -82,31 +82,8 @@ let wfusion =
          ~doc:"Print per-function threaded-code superinstruction decisions \
                and the module totals as Cage metrics counters.")
 
-let engine_conv =
-  let parse = function
-    | "interp" -> Ok Wasm.Instance.Interp
-    | "threaded" -> Ok Wasm.Instance.Threaded
-    | s ->
-        Error (`Msg (Printf.sprintf "unknown engine %S (interp|threaded)" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf
-      (match e with
-      | Wasm.Instance.Interp -> "interp"
-      | Wasm.Instance.Threaded -> "threaded")
-  in
-  Cmdliner.Arg.conv (parse, print)
-
-let engine =
-  Arg.(value & opt engine_conv Wasm.Instance.Threaded
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Execution engine recorded in the configuration (and used \
-                 by anything that runs the output): 'threaded' (default) \
-                 or 'interp'.")
-
 let run input output config emit_wat no_libc instrument_all stats wstack
-    elide elide_bounds no_spec_elide wfusion engine =
-  let config = Cage.Config.with_engine engine config in
+    elide elide_bounds no_spec_elide wfusion =
   let source = In_channel.with_open_text input In_channel.input_all in
   let opts =
     { (Minic.Driver.options_of_config config) with
@@ -186,8 +163,8 @@ let run input output config emit_wat no_libc instrument_all stats wstack
         in
         List.iter
           (fun (s : Wasm.Xcode.stats) ->
-            if s.Wasm.Xcode.st_instrs > 0 || not s.Wasm.Xcode.st_supported
-            then Format.eprintf "%a@." Wasm.Xcode.pp_stats s)
+            if s.Wasm.Xcode.st_instrs > 0 then
+              Format.eprintf "%a@." Wasm.Xcode.pp_stats s)
           fstats;
         let total f =
           List.fold_left (fun acc s -> acc + f s) 0 fstats
@@ -228,6 +205,6 @@ let cmd =
     Term.(
       const run $ input $ output $ config $ emit_wat $ no_libc
       $ instrument_all $ stats $ wstack $ elide $ elide_bounds
-      $ no_spec_elide $ wfusion $ engine)
+      $ no_spec_elide $ wfusion)
 
 let () = exit (Cmd.eval cmd)

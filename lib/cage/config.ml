@@ -155,9 +155,10 @@ let with_arena t = { t with elide_checks = true; arena = true }
     would elide — the [--no-spec-elide] deployment mode. *)
 let with_spec_safe_only t = { t with spec_safe_only = true }
 
-(** The same variant driven by a specific execution engine (the name is
-    unchanged: engine choice must never alter observable results, only
-    wall-clock time). *)
+(** The same variant driven by a specific evaluator — how the engine
+    differential and parity tests reach the reference interpreter (the
+    name is unchanged: the evaluators must never differ in observable
+    results, only in wall-clock time). *)
 let with_engine engine t = { t with engine }
 
 (** All Table 3 rows, in order. *)
@@ -215,6 +216,26 @@ let instance_config ?meter ?(seed = 0) t =
     meter;
     engine = t.engine;
   }
+
+(** [instance_config] for running module [m] under [t]: when [t] elides
+    checks, the analysis plan for [m] is built once and installed at the
+    levels [t] enables — tag elision always, bounds elision with
+    [elide_bounds], arena lowering with [arena], speculation-safe proofs
+    only with [spec_safe_only]. Every path that instantiates a module
+    under a configuration goes through here. *)
+let module_config ?meter ?seed t m =
+  let config = instance_config ?meter ?seed t in
+  if not t.elide_checks then config
+  else
+    let plan =
+      Analysis.Elide.plan ~spec_safe:t.spec_safe_only ~arena:t.arena m
+    in
+    {
+      config with
+      Wasm.Instance.elide = plan.Analysis.Elide.bitsets;
+      belide = (if t.elide_bounds then plan.Analysis.Elide.bbitsets else [||]);
+      arena = plan.Analysis.Elide.arena;
+    }
 
 let pp ppf t =
   Format.fprintf ppf "%s (ptr%d, sandbox=%s%s%s)" t.name

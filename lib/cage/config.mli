@@ -36,8 +36,9 @@ type t = {
       (** keep checks provable architecturally but not under the
           Swivel-style speculation model (see {!with_spec_safe_only}) *)
   engine : Wasm.Instance.engine;
-      (** which execution engine drives instances of this variant;
-          [Threaded] in every named variant (see {!with_engine}) *)
+      (** which evaluator drives instances of this variant: [Threaded]
+          in every named variant; [Interp] only for the reference
+          evaluator (see {!with_engine}) *)
 }
 
 (** {1 The Table 3 rows} *)
@@ -77,10 +78,11 @@ val with_spec_safe_only : t -> t
     model — the [--no-spec-elide] deployment mode. *)
 
 val with_engine : Wasm.Instance.engine -> t -> t
-(** The same variant driven by a specific execution engine. Engine
-    choice must never change observable results — outcomes, meters,
-    access counts and goldens are engine-invariant — only wall-clock
-    time. *)
+(** The same variant driven by a specific evaluator — the way the
+    engine differential, the parity tests and [bench exec] reach the
+    tree-walking reference ([Interp]). The evaluators must never
+    differ in observable results — outcomes, meters, access counts and
+    goldens — only in wall-clock time. *)
 
 val table3 : t list
 (** All six variants, in the paper's order. *)
@@ -113,5 +115,14 @@ val max_sandboxes : t -> int
 val instance_config :
   ?meter:Wasm.Meter.t -> ?seed:int -> t -> Wasm.Instance.config
 (** Interpreter configuration implementing this variant. *)
+
+val module_config :
+  ?meter:Wasm.Meter.t -> ?seed:int -> t -> Wasm.Ast.module_ ->
+  Wasm.Instance.config
+(** {!instance_config} for running the given module: when the variant
+    elides checks, the module's analysis plan is built and installed at
+    the levels the variant enables (tag elision; bounds elision with
+    [elide_bounds]; arena lowering with [arena]; speculation-safe
+    proofs only with [spec_safe_only]). *)
 
 val pp : Format.formatter -> t -> unit

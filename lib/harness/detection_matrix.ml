@@ -248,8 +248,7 @@ let default_seed = 7
     analyzer proved cannot fault. [~full:true] additionally arms bounds
     elision and arena lowering (the interprocedural consumers); the
     same byte-identity must hold. *)
-let run ?(seed = default_seed) ?(elide = false) ?(full = false)
-    ?(engine = Wasm.Instance.Threaded) () =
+let run ?(seed = default_seed) ?(elide = false) ?(full = false) () =
   compile_cache := [];
   reference_cache := [];
   let configs =
@@ -260,7 +259,6 @@ let run ?(seed = default_seed) ?(elide = false) ?(full = false)
     else if elide then List.map Cage.Config.with_elision configs
     else configs
   in
-  let configs = List.map (Cage.Config.with_engine engine) configs in
   let index = ref 0 in
   List.concat_map
     (fun site ->
@@ -376,7 +374,7 @@ type fuzz_stats = {
    e.g. a heap scribble that lands in a recycled stack slot is silent
    data corruption by design, and containment — not correctness — is
    the supervisor's contract. *)
-let chaos_fuzz ?(seed = 0xC405) ?(engine = Wasm.Instance.Threaded) ~count () =
+let chaos_fuzz ?(seed = 0xC405) ~count () =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let finished = ref 0 and crashed = ref 0 and injected = ref 0 in
@@ -387,10 +385,7 @@ let chaos_fuzz ?(seed = 0xC405) ?(engine = Wasm.Instance.Threaded) ~count () =
       let source = Workloads.Fuzzgen.render prog in
       let expected = Workloads.Fuzzgen.reference prog in
       let mode = List.nth modes (i mod List.length modes) in
-      let cfg =
-        Cage.Config.with_engine engine
-          { Cage.Config.full with Cage.Config.mte_mode = mode }
-      in
+      let cfg = { Cage.Config.full with Cage.Config.mte_mode = mode } in
       let opts =
         { (Minic.Driver.options_of_config cfg) with
           Minic.Driver.mem_pages = 80L }

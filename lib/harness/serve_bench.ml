@@ -162,14 +162,11 @@ let gate ?(floor = 0.8) cmp =
     [collect] feeds the chaos-on run's per-request stream into an SLO
     collector. Neither perturbs the simulation — reports are identical
     with or without them. *)
-let compare ?(requests = 100_000) ?(seed = 42)
-    ?(engine = Wasm.Instance.Threaded) ?recorder ?collect () =
+let compare ?(requests = 100_000) ?(seed = 42) ?recorder ?collect () =
   let config =
     { Serve.Server.default_config with Serve.Server.requests; seed }
   in
-  let mk () =
-    tenants ~cfg:(Cage.Config.with_engine engine Cage.Config.full) ~seed ()
-  in
+  let mk () = tenants ~seed () in
   let cmp_off = Serve.Server.run config (mk ()) in
   let run_on () =
     Serve.Server.run ~chaos:(chaos_policy ~seed) ?collect config (mk ())
@@ -196,11 +193,8 @@ let compare ?(requests = 100_000) ?(seed = 42)
     - ["degraded"]: nothing escaped, but some requests were lost
       (shed, retry-exhausted) — graceful degradation;
     - ["ESCAPED"]: a corrupted result reached a client. *)
-let served_cell ~engine ~full ~seed ~index site mode =
-  let cfg =
-    Cage.Config.with_engine engine
-      { Cage.Config.full with Cage.Config.mte_mode = mode }
-  in
+let served_cell ~full ~seed ~index site mode =
+  let cfg = { Cage.Config.full with Cage.Config.mte_mode = mode } in
   (* [~full]: serve with the whole interprocedural elision pipeline
      armed; the served classifications must not move *)
   let cfg =
@@ -230,8 +224,7 @@ let served_cell ~engine ~full ~seed ~index site mode =
 
 (** One row per fault site, one column per MTE mode, full Cage config
     throughout. Deterministic in [seed] — golden-gated by CI. *)
-let served_matrix ?(seed = Detection_matrix.default_seed)
-    ?(engine = Wasm.Instance.Threaded) ?(full = false) () =
+let served_matrix ?(seed = Detection_matrix.default_seed) ?(full = false) () =
   let modes = Arch.Mte.[ Disabled; Sync; Async; Asymmetric ] in
   let index = ref 0 in
   List.map
@@ -240,7 +233,7 @@ let served_matrix ?(seed = Detection_matrix.default_seed)
         List.map
           (fun mode ->
             incr index;
-            (mode, served_cell ~engine ~full ~seed ~index:!index site mode))
+            (mode, served_cell ~full ~seed ~index:!index site mode))
           modes ))
     Arch.Fault_inject.all_sites
 

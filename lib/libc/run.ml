@@ -22,25 +22,7 @@ let run ?(cfg = Cage.Config.baseline_wasm64) ?meter ?(seed = 0)
   let prelude = Source.prelude_of_config cfg in
   let compiled = Minic.Driver.compile ~opts ~prelude source in
   let wasi = Wasi.create () in
-  let config = Cage.Config.instance_config ?meter ~seed cfg in
-  let config =
-    if cfg.Cage.Config.elide_checks then begin
-      let plan =
-        Analysis.Elide.plan
-          ~spec_safe:cfg.Cage.Config.spec_safe_only
-          ~arena:cfg.Cage.Config.arena compiled.co_module
-      in
-      {
-        config with
-        Wasm.Instance.elide = plan.Analysis.Elide.bitsets;
-        belide =
-          (if cfg.Cage.Config.elide_bounds then plan.Analysis.Elide.bbitsets
-           else [||]);
-        arena = plan.Analysis.Elide.arena;
-      }
-    end
-    else config
-  in
+  let config = Cage.Config.module_config ?meter ~seed cfg compiled.co_module in
   let instance =
     Wasm.Exec.instantiate ~config ~imports:(Wasi.imports wasi)
       compiled.co_module

@@ -626,10 +626,13 @@ let run ?chaos ?collect config tenants =
                   Obs.Hook.queue_depth (Queue.length st.waiting);
                 try_start r.rq_tenant ~now
               end
-          | Slice s -> (
-              match Scheduler.slice_done cpu s with
-              | Some rn -> complete rn ~now
-              | None -> dispatch_all now)
+          | Slice s ->
+              (* a finished job frees its core: hand it to whatever is
+                 waiting before the next event, or the job waits for an
+                 event that may never come *)
+              Option.iter (fun rn -> complete rn ~now)
+                (Scheduler.slice_done cpu s);
+              dispatch_all now
           | Heal ->
               if !pending > 0 then begin
                 Array.iteri

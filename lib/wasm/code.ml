@@ -1,24 +1,14 @@
 (** Prepared (pre-compiled) function bodies.
 
-    The interpreter used to carry a [int list] of label arities at run
-    time and look branch targets up with [List.nth] on every
-    [br]/[br_if]/[br_table]/[return] — O(depth) per branch, executed on
-    the hottest control-flow path, with a silent [with _ -> 0] fallback
-    that let malformed label indices corrupt the operand stack.
+    Every branch is resolved once, at instantiation, instead of looking
+    label arities up on the hot control-flow path: a branch carries its
+    target depth {e and} the label's arity, and br_table target lists
+    become arrays (O(1) selection). Bodies come from validated modules,
+    so every label index has an enclosing block. Non-control
+    instructions are embedded unchanged as {!Basic}, so the
+    numeric/memory dispatch in the interpreter is untouched. *)
 
-    This module resolves all of that once, at instantiation: every
-    branch carries its target depth {e and} the label's arity; br_table
-    target lists become arrays (O(1) selection); a label index with no
-    matching enclosing block compiles to {!Bad_label}, which traps hard
-    at execution instead of guessing arity 0. Non-control instructions
-    are embedded unchanged as {!Basic}, so the numeric/memory dispatch
-    in the interpreter is untouched. *)
-
-type label =
-  | L of { depth : int; arity : int }
-  | Bad_label of int
-      (** the label index had no enclosing block: executing it is a
-          hard trap, never a silent arity-0 branch *)
+type label = { depth : int; arity : int }
 
 type instr =
   | Basic of Ast.instr * int
@@ -61,10 +51,7 @@ let block_arity : Ast.block_type -> int = function
 
 (* [arities] is the static label stack, innermost first; its base entry
    is the function's result arity (the function-body label). *)
-let resolve arities n =
-  match List.nth_opt arities n with
-  | Some arity -> L { depth = n; arity }
-  | None -> Bad_label n
+let resolve arities n = { depth = n; arity = List.nth arities n }
 
 (* Explicit left-to-right recursion: the id counter in [next] makes the
    traversal order part of the numbering contract. *)

@@ -12,38 +12,28 @@
     targets, elision bits, numeric specialisations — into closure
     environments at instantiation time.
 
-    {2 When lowering declines}
+    {2 Lowering is total}
 
-    The interpreter executes unvalidated modules with lenient dynamic
-    semantics (typed-value traps like ["expected i32"], operand-stack
-    underflow traps, leftover values on branches). Compiling those
-    faithfully would re-introduce the dynamic checks the threaded engine
-    exists to remove, so the compiler runs a small static validator as
-    it walks the body; any function that needs a dynamic answer —
-    a type mismatch, a stack-height mismatch between branch paths, an
-    out-of-range index — raises {!Unsupported} and falls back to the
-    interpreter {e for that function only}. Validated wasm always
-    compiles; the fallback exists for the adversarial inputs the fuzz
-    and chaos suites feed the engine.
+    {!Exec.instantiate} validates every module before it compiles it,
+    so the static operand stack the compiler tracks as it walks a body
+    is always well typed and never underflows: every function of a
+    validated module lowers. The tracked types select specialisations
+    (address width, fusion idioms); the few facts the compiler relies on
+    are asserted, not re-validated.
 
     {2 Branches are plain jumps}
 
-    The interpreter's branch semantics keep any extra operand-stack
-    values a branch jumps over (it pops the label's arity, unwinds by
-    exception, and re-pushes — the stack below is untouched). The
-    compiler therefore requires every path into a join point to carry
-    the {e same} static operand stack; when that holds, a branch moves
-    no values at all and compiles to a bare [fun _ -> target]. Function
-    exit is the one join with value movement: leftovers below the
-    result values are discarded at the frame boundary (unobservable), so
-    [return]/exit ops blit the top [arity] slots down to the operand
-    base and jump to the exit index. *)
+    Every label has a base: the static operand height where its block
+    began. A branch carries the label's [arity] values on top of the
+    stack; validation allows extra values beneath them, which the
+    branch discards. When the branch's static height is exactly base +
+    arity (the common case, and every fall-through into a join), it
+    moves nothing and compiles to a bare [fun _ -> target]. Otherwise it
+    blits the top [arity] slots down to the base first. Loop labels have
+    arity 0, so a back-edge never moves values; the function label's
+    base is 0, so [return] and exit are the same blit. *)
 
 open Xcode
-
-exception Unsupported of string
-
-let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Runtime helpers shared by the emitted closures                      *)
@@ -156,15 +146,6 @@ let[@inline] resolve64p (s : float) (off : int) : int =
       ((b land 0xffff_ffff_ffff) + off) lor (((b lsr 56) land 0xf) lsl 50)
   | Some _ -> resolve64_chaos s off
 
-(* The interpreter bridge, installed by [Exec] at link time: invoke
-   function [fi] through the tree-walker with the given callee depth.
-   [Exec.invoke_idx] performs its own depth check and fuel burn, so the
-   threaded caller must not pre-pay them on this arm. *)
-let interp_call :
-    (Instance.t -> int -> int -> Values.t list -> Values.t list) ref =
-  ref (fun _ _ _ _ ->
-      raise (Instance.Trap "threaded engine: interpreter bridge not installed"))
-
 (* The call protocol. Caller arguments occupy the top of the caller's
    operand area, at absolute slots [argp .. argp + nargs - 1]; the
    callee's frame starts exactly there (arguments become parameters in
@@ -173,10 +154,12 @@ let interp_call :
    The caller's base/opbase/depth live on the OCaml stack across the
    nested dispatch loop. *)
 let call_function (st : Instance.t Xcode.state) fi argp
-    (param_tys : Types.val_type array) (_result_tys : Types.val_type array) =
+    (param_tys : Types.val_type array) =
   let inst = st.inst in
   match inst.funcs.(fi) with
-  | Instance.Wasm_func { xcode = Some xf; _ } ->
+  | Instance.Wasm_func { xcode; _ } ->
+      (* a threaded instance lowers every local function *)
+      let xf = Option.get xcode in
       let d = st.depth + 1 in
       if d > Rt.max_call_depth then
         Rt.trap "stack: call stack exhausted (depth %d)" d;
@@ -215,17 +198,6 @@ let call_function (st : Instance.t Xcode.state) fi argp
       st.base <- save_base;
       st.opbase <- save_opbase;
       st.depth <- save_depth
-  | Instance.Wasm_func { xcode = None; _ } ->
-      (* Per-function interpreter fallback: box the arguments, let the
-         tree-walker run the callee (it does its own depth/fuel/obs/sync
-         bookkeeping), and reinterpret the results as slots. *)
-      let nargs = Array.length param_tys in
-      let args =
-        List.init nargs (fun j ->
-            Xcode.value_of_slot param_tys.(j) st.stk.(argp + j))
-      in
-      let results = !interp_call inst (st.depth + 1) fi args in
-      List.iteri (fun j v -> st.stk.(argp + j) <- Xcode.slot_of_value v) results
   | Instance.Host_func { fn; ty = _; name } ->
       let d = st.depth + 1 in
       if d > Rt.max_call_depth then
@@ -249,12 +221,11 @@ let call_function (st : Instance.t Xcode.state) fi argp
       in
       List.iteri (fun j v -> st.stk.(argp + j) <- Xcode.slot_of_value v) results
 
-(** Run a compiled body from the interpreter side (entry calls and the
-    interp-to-threaded bridge). The caller — [Exec.invoke_idx] — has
-    already done the depth check, fuel burn, call-stack push and
-    [Func_enter] event, and will drain deferred faults and pop the
-    frame afterwards; this only executes the body. [depth] is the
-    callee frame's depth. *)
+(** Run a compiled body from the host side (entry calls). The caller —
+    [Exec.invoke_idx] — has already done the depth check, fuel burn,
+    call-stack push and [Func_enter] event, and will drain deferred
+    faults and pop the frame afterwards; this only executes the body.
+    [depth] is the callee frame's depth. *)
 let run_body (inst : Instance.t) ~depth (xf : Instance.t Xcode.func)
     (args : Values.t list) : Values.t list =
   let st =
@@ -413,7 +384,7 @@ let load_kind (ty : Types.num_type)
   | (Types.I32 | Types.I64), Some (p, ext) ->
       let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
       (n, Lk_pack (n, ext = Ast.SX))
-  | (Types.F32 | Types.F64), Some _ -> unsupported "packed load of float"
+  | (Types.F32 | Types.F64), Some _ -> assert false (* rejected by Validate *)
 
 (* Scalar store specialisation. Packed stores write the slot's low
    bytes directly: the slot pattern of an i32 equals [Int64.of_int32]
@@ -429,16 +400,17 @@ let store_kind (ty : Types.num_type) (pack : Ast.pack_size option) :
   | (Types.I32 | Types.I64), Some p ->
       let n = match p with Ast.Pack8 -> 1 | Pack16 -> 2 | Pack32 -> 4 in
       (n, Sk_pack n)
-  | (Types.F32 | Types.F64), Some _ -> unsupported "packed float store"
+  | (Types.F32 | Types.F64), Some _ -> assert false (* rejected by Validate *)
 
 (* Static memarg offsets on the native path must keep the effective
    address within the packed 50-bit address field; wasm encodes them
-   as u32 (u64 under memory64), so anything above 2^31 — always out of
-   bounds of the 1 GiB cap anyway — falls back to the interpreter. *)
+   as u32 (u64 under memory64), and Validate rejects negative ones. Any
+   offset from 2^31 up puts every effective address past the 1 GiB
+   memory cap, so it lowers as 2^31: the access resolves its operand
+   (chaos draws, non-canonical trap) and then fails its bounds check
+   with the same trap, at the same point, as the exact offset would. *)
 let native_off (off : int64) : int =
-  if off < 0L || off > 0x7fff_ffffL then
-    unsupported "memarg offset out of native range";
-  Int64.to_int off
+  if off > 0x7fff_ffffL then 0x8000_0000 else Int64.to_int off
 
 (* ------------------------------------------------------------------ *)
 (* The compiler                                                        *)
@@ -449,26 +421,23 @@ type frame = {
   l_kind : [ `Block | `Loop | `Func ];
   l_arity : int;
   l_entry : Types.val_type list;
-      (** [`Loop]: the static stack a back-edge must reproduce;
-          [`Func]: the function's result types, topmost first *)
+      (** the static stack at the label's base (empty for [`Func]) *)
   mutable l_merge : Types.val_type list option;
-      (** [`Block]: the static stack every path into the join agreed
-          on; [None] until the first inbound path *)
+      (** [`Block]: the static stack after the join; [None] until the
+          first inbound path *)
 }
 
 let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     ~(func : Ast.func) ~(code : Code.func) ~(mtr : Meter.t) :
-    Instance.t Xcode.func option * Xcode.stats =
+    Instance.t Xcode.func =
   let nparams = List.length ty.params in
   let local_tys = Array.of_list (ty.params @ func.locals) in
   let nlocals = Array.length local_tys - nparams in
   let result_arity = code.result_arity in
-  let rev_results = List.rev ty.results in
   let global_tys =
     Array.of_list
       (List.map (fun (g : Ast.global) -> Values.type_of g.g_init) m.globals)
   in
-  let n_funcs = Ast.num_imports m + List.length m.funcs in
   let mem_idx =
     match m.memory with
     | Some mt -> Some mt.Types.mem_idx
@@ -485,7 +454,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   in
   let pop () =
     match !ts with
-    | [] -> unsupported "operand stack underflow"
+    | [] -> assert false (* validated: the operand stack never underflows *)
     | t :: r ->
         ts := r;
         decr h;
@@ -493,15 +462,12 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   in
   let pop_ty t =
     let t' = pop () in
-    if t' <> t then
-      unsupported "expected %s, got %s"
-        (Types.string_of_num_type t)
-        (Types.string_of_num_type t')
+    assert (t' = t)
   in
   let pop_addr () =
-    match pop () with
-    | (Types.I32 | Types.I64) as t -> t
-    | t -> unsupported "bad address operand %s" (Types.string_of_num_type t)
+    let t = pop () in
+    assert (t = Types.I32 || t = Types.I64);
+    t
   in
   (* --- op builder --- *)
   let rev_ops : Instance.t Xcode.op list ref = ref [] in
@@ -799,73 +765,42 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
   (* ---------------------------------------------------------------- *)
   (* Branch actions                                                    *)
   (* ---------------------------------------------------------------- *)
-  (* Validate a branch to [l] from the current static stack and return
-     the runtime "take the branch" continuation. Loop back-edges pay
-     the loop label's catch-clause [meter_br] on top of the branch's
-     own (the interpreter's [Loop] handler re-meters on every
-     iteration); function-label branches blit the top [arity] slots to
-     the operand base, discarding leftovers at the frame boundary. *)
-  let branch_action labels (l : Code.label) : Instance.t Xcode.state -> int =
-    match l with
-    | Code.Bad_label n -> fun _ -> Rt.trap "branch depth %d out of range" n
-    | Code.L { depth; _ } -> (
-        let fr =
-          match List.nth_opt labels depth with
-          | Some fr -> fr
-          | None -> assert false (* Code.resolve bounds label depths *)
-        in
-        let tgt = fr.l_target in
-        match fr.l_kind with
-        | `Loop ->
-            if !ts <> fr.l_entry then
-              unsupported "loop back-edge stack mismatch";
-            fun st ->
-              meter_br st.inst;
-              !tgt
-        | `Block ->
-            if !h < fr.l_arity then unsupported "operand stack underflow";
-            (match fr.l_merge with
-            | None -> fr.l_merge <- Some !ts
-            | Some s -> if s <> !ts then unsupported "branch join stack mismatch");
-            fun _ -> !tgt
-        | `Func ->
-            let arity = fr.l_arity in
-            if !h < arity then unsupported "operand stack underflow";
-            let rec firstn n = function
-              | _ when n = 0 -> []
-              | [] -> []
-              | x :: r -> x :: firstn (n - 1) r
-            in
-            if firstn arity !ts <> fr.l_entry then
-              unsupported "result type mismatch at function exit";
-            let k = !h - arity in
-            if k = 0 || arity = 0 then fun _ -> !tgt
-            else if arity = 1 then fun st ->
-              let stk = st.stk in
-              Array.unsafe_set stk st.opbase
-                (Array.unsafe_get stk (st.opbase + k));
-              !tgt
-            else fun st ->
-              Array.blit st.stk (st.opbase + k) st.stk st.opbase arity;
-              !tgt)
+  (* The top [arity] values of the static stack, topmost first. *)
+  let rec firstn n = function
+    | x :: r when n > 0 -> x :: firstn (n - 1) r
+    | _ -> []
   in
-  (* The blit-at-exit for [return] and end-of-body fall-through. *)
-  let exit_move () =
-    if !h < result_arity then unsupported "operand stack underflow";
-    let rec firstn n = function
-      | _ when n = 0 -> []
-      | [] -> []
-      | x :: r -> x :: firstn (n - 1) r
-    in
-    if firstn result_arity !ts <> rev_results then
-      unsupported "result type mismatch at function exit";
-    let k = !h - result_arity in
-    let arity = result_arity in
-    if k = 0 || arity = 0 then fun (_ : Instance.t Xcode.state) -> ()
-    else if arity = 1 then fun st ->
-      let stk = st.stk in
-      Array.unsafe_set stk st.opbase (Array.unsafe_get stk (st.opbase + k))
-    else fun st -> Array.blit st.stk (st.opbase + k) st.stk st.opbase arity
+  (* Return the runtime "take the branch" continuation for a branch to
+     [l] from the current static stack, recording the join's stack for
+     a block label. The label's values move down to its base when the
+     stack holds extra values beneath them (see the header). Loop
+     back-edges pay the loop label's catch-clause [meter_br] on top of
+     the branch's own (the interpreter's [Loop] handler re-meters on
+     every iteration). *)
+  let branch_action labels ({ depth; _ } : Code.label) :
+      Instance.t Xcode.state -> int =
+    let fr = List.nth labels depth in
+    let tgt = fr.l_target in
+    let arity = fr.l_arity in
+    let base = List.length fr.l_entry in
+    let src = !h - arity in
+    match fr.l_kind with
+    | `Loop ->
+        fun st ->
+          meter_br st.inst;
+          !tgt
+    | (`Block | `Func) as kind ->
+        if kind = `Block && fr.l_merge = None then
+          fr.l_merge <- Some (firstn arity !ts @ fr.l_entry);
+        if src = base || arity = 0 then fun _ -> !tgt
+        else if arity = 1 then fun st ->
+          let stk = st.stk in
+          Array.unsafe_set stk (st.opbase + base)
+            (Array.unsafe_get stk (st.opbase + src));
+          !tgt
+        else fun st ->
+          Array.blit st.stk (st.opbase + src) st.stk (st.opbase + base) arity;
+          !tgt
   in
   (* ---------------------------------------------------------------- *)
   (* Singleton instruction compilation                                 *)
@@ -894,9 +829,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
     | Ast.Select ->
         pop_ty Types.I32;
         let t2 = pop () in
-        let t1 = pop () in
-        if t1 <> t2 then unsupported "select arm type mismatch";
-        push t1;
+        pop_ty t2;
+        push t2;
         let hres = !h - 1 in
         emit1 (fun next st ->
             tick st.inst;
@@ -908,7 +842,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalGet i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
         push local_tys.(i);
         let hres = !h - 1 in
         emit1 (fun next st ->
@@ -920,7 +853,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalSet i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
         pop_ty local_tys.(i);
         let hsrc = !h in
         emit1 (fun next st ->
@@ -932,7 +864,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.LocalTee i ->
-        if i >= Array.length local_tys then unsupported "local index out of range";
         pop_ty local_tys.(i);
         push local_tys.(i);
         let hsrc = !h - 1 in
@@ -945,8 +876,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.GlobalGet i ->
-        if i >= Array.length global_tys then
-          unsupported "global index out of range";
         push global_tys.(i);
         let hres = !h - 1 in
         emit1 (fun next st ->
@@ -957,8 +886,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.GlobalSet i ->
-        if i >= Array.length global_tys then
-          unsupported "global index out of range";
         let gty = global_tys.(i) in
         pop_ty gty;
         let hsrc = !h in
@@ -1668,7 +1595,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Load (lty, pack, ma) ->
-        if mem_idx = None then unsupported "load without memory";
         let addr_ty = pop_addr () in
         let res_ty : Types.val_type = lty in
         push res_ty;
@@ -1687,7 +1613,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Store (sty, pack, ma) ->
-        if mem_idx = None then unsupported "store without memory";
         pop_ty sty;
         let addr_ty = pop_addr () in
         let ha = !h in
@@ -1704,121 +1629,113 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             body st;
             next);
         `Live
-    | Ast.MemorySize -> (
-        match mem_idx with
-        | None -> unsupported "memory.size without memory"
-        | Some idx ->
-            push (Types.addr_type idx);
-            let hres = !h - 1 in
-            let mk =
-              match idx with
-              | Types.Idx32 ->
-                  fun pages -> Xcode.slot_of_i32 (Int64.to_int32 pages)
-              | Types.Idx64 -> fun pages -> Xcode.slot_of_i64 pages
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                Array.unsafe_set st.stk (st.opbase + hres)
-                  (mk (Memory.size_pages (gm st.inst)));
-                next);
-            `Live)
-    | Ast.MemoryGrow -> (
-        match mem_idx with
-        | None -> unsupported "memory.grow without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            push (Types.addr_type idx);
-            let hres = !h - 1 in
-            let dec, mk =
-              match idx with
-              | Types.Idx32 ->
-                  ( (fun s ->
-                      Int64.logand
-                        (Int64.of_int32 (Xcode.i32_of_slot s))
-                        0xffffffffL),
-                    fun old -> Xcode.slot_of_i32 (Int64.to_int32 old) )
-              | Types.Idx64 -> ((fun s -> Xcode.i64_of_slot s), Xcode.slot_of_i64)
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                let stk = st.stk in
-                let p = st.opbase + hres in
-                let old = Rt.memory_grow st.inst (dec (Array.unsafe_get stk p)) in
-                Array.unsafe_set stk p (mk old);
-                next);
-            `Live)
-    | Ast.MemoryFill -> (
-        match mem_idx with
-        | None -> unsupported "memory.fill without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            pop_ty Types.I32;
-            let dst_ty = pop_addr () in
-            let hdst = !h in
-            let dec_len =
-              match idx with
-              | Types.Idx32 ->
-                  fun s ->
-                    Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
-              | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
-            in
-            let resolve_dst =
-              match dst_ty with
-              | Types.I32 ->
-                  fun s ->
-                    (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-              | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
-            in
-            emit1 (fun next st ->
-                tick st.inst;
-                let inst = st.inst in
-                let stk = st.stk in
-                let p = st.opbase + hdst in
-                let len = dec_len (Array.unsafe_get stk (p + 2)) in
-                let v = int_of_slot (Array.unsafe_get stk (p + 1)) in
-                let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
-                mtr.bulk_fill <- mtr.bulk_fill + 1;
-                Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
-                next);
-            `Live)
-    | Ast.MemoryCopy -> (
-        match mem_idx with
-        | None -> unsupported "memory.copy without memory"
-        | Some idx ->
-            pop_ty (Types.addr_type idx);
-            let src_ty = pop_addr () in
-            let dst_ty = pop_addr () in
-            let hdst = !h in
-            let dec_len =
-              match idx with
-              | Types.Idx32 ->
-                  fun s ->
-                    Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
-              | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
-            in
-            let resolve ty =
-              match (ty : Types.val_type) with
-              | Types.I32 ->
-                  fun s ->
-                    (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
-              | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
-            in
-            let resolve_src = resolve src_ty in
-            let resolve_dst = resolve dst_ty in
-            emit1 (fun next st ->
-                tick st.inst;
-                let inst = st.inst in
-                let stk = st.stk in
-                let p = st.opbase + hdst in
-                let len = dec_len (Array.unsafe_get stk (p + 2)) in
-                (* the interpreter resolves source before destination:
-                   chaos draws must land in that order *)
-                let src, stag = resolve_src (Array.unsafe_get stk (p + 1)) in
-                let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
-                mtr.bulk_copy <- mtr.bulk_copy + 1;
-                Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
-                next);
-            `Live)
+    | Ast.MemorySize ->
+        let idx = Option.get mem_idx in
+        push (Types.addr_type idx);
+        let hres = !h - 1 in
+        let mk =
+          match idx with
+          | Types.Idx32 ->
+              fun pages -> Xcode.slot_of_i32 (Int64.to_int32 pages)
+          | Types.Idx64 -> fun pages -> Xcode.slot_of_i64 pages
+        in
+        emit1 (fun next st ->
+            tick st.inst;
+            Array.unsafe_set st.stk (st.opbase + hres)
+              (mk (Memory.size_pages (gm st.inst)));
+            next);
+        `Live
+    | Ast.MemoryGrow ->
+        let idx = Option.get mem_idx in
+        pop_ty (Types.addr_type idx);
+        push (Types.addr_type idx);
+        let hres = !h - 1 in
+        let dec, mk =
+          match idx with
+          | Types.Idx32 ->
+              ( (fun s ->
+                  Int64.logand
+                    (Int64.of_int32 (Xcode.i32_of_slot s))
+                    0xffffffffL),
+                fun old -> Xcode.slot_of_i32 (Int64.to_int32 old) )
+          | Types.Idx64 -> ((fun s -> Xcode.i64_of_slot s), Xcode.slot_of_i64)
+        in
+        emit1 (fun next st ->
+            tick st.inst;
+            let stk = st.stk in
+            let p = st.opbase + hres in
+            let old = Rt.memory_grow st.inst (dec (Array.unsafe_get stk p)) in
+            Array.unsafe_set stk p (mk old);
+            next);
+        `Live
+    | Ast.MemoryFill ->
+        let idx = Option.get mem_idx in
+        pop_ty (Types.addr_type idx);
+        pop_ty Types.I32;
+        let dst_ty = pop_addr () in
+        let hdst = !h in
+        let dec_len =
+          match idx with
+          | Types.Idx32 ->
+              fun s ->
+                Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
+          | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
+        in
+        let resolve_dst =
+          match dst_ty with
+          | Types.I32 ->
+              fun s ->
+                (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
+          | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
+        in
+        emit1 (fun next st ->
+            tick st.inst;
+            let inst = st.inst in
+            let stk = st.stk in
+            let p = st.opbase + hdst in
+            let len = dec_len (Array.unsafe_get stk (p + 2)) in
+            let v = int_of_slot (Array.unsafe_get stk (p + 1)) in
+            let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
+            mtr.bulk_fill <- mtr.bulk_fill + 1;
+            Checked.fill inst (gm inst) ~addr:dst ~tag:dtag ~len v;
+            next);
+        `Live
+    | Ast.MemoryCopy ->
+        let idx = Option.get mem_idx in
+        pop_ty (Types.addr_type idx);
+        let src_ty = pop_addr () in
+        let dst_ty = pop_addr () in
+        let hdst = !h in
+        let dec_len =
+          match idx with
+          | Types.Idx32 ->
+              fun s ->
+                Int64.logand (Int64.of_int32 (Xcode.i32_of_slot s)) 0xffffffffL
+          | Types.Idx64 -> fun s -> Xcode.i64_of_slot s
+        in
+        let resolve ty =
+          match (ty : Types.val_type) with
+          | Types.I32 ->
+              fun s ->
+                (Checked.resolve_addr_i32 (Xcode.i32_of_slot s) 0L, Arch.Tag.zero)
+          | _ -> fun s -> Checked.resolve_addr_i64 (Xcode.i64_of_slot s) 0L
+        in
+        let resolve_src = resolve src_ty in
+        let resolve_dst = resolve dst_ty in
+        emit1 (fun next st ->
+            tick st.inst;
+            let inst = st.inst in
+            let stk = st.stk in
+            let p = st.opbase + hdst in
+            let len = dec_len (Array.unsafe_get stk (p + 2)) in
+            (* the interpreter resolves source before destination:
+               chaos draws must land in that order *)
+            let src, stag = resolve_src (Array.unsafe_get stk (p + 1)) in
+            let dst, dtag = resolve_dst (Array.unsafe_get stk p) in
+            mtr.bulk_copy <- mtr.bulk_copy + 1;
+            Checked.copy inst (gm inst) ~dst ~dtag ~src ~stag ~len;
+            next);
+        `Live
     | Ast.SegmentNew o ->
         pop_ty Types.I64;
         pop_ty Types.I64;
@@ -1893,21 +1810,18 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             next);
         `Live
     | Ast.Call fi ->
-        if fi >= n_funcs then unsupported "call index out of range";
         let cty = Ast.type_of_func m fi in
         List.iter pop_ty (List.rev cty.params);
         let hbase = !h in
         List.iter push cty.results;
         let param_tys = Array.of_list cty.params in
-        let result_tys = Array.of_list cty.results in
         emit1 (fun next st ->
             tick st.inst;
             mtr.call <- mtr.call + 1;
-            call_function st fi (st.opbase + hbase) param_tys result_tys;
+            call_function st fi (st.opbase + hbase) param_tys;
             next);
         `Live
     | Ast.CallIndirect ti ->
-        if ti >= List.length m.types then unsupported "type index out of range";
         let ety = List.nth m.types ti in
         pop_ty Types.I32;
         List.iter pop_ty (List.rev ety.params);
@@ -1915,7 +1829,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         List.iter push ety.results;
         let nargs = List.length ety.params in
         let param_tys = Array.of_list ety.params in
-        let result_tys = Array.of_list ety.results in
         emit1 (fun next st ->
             tick st.inst;
             let inst = st.inst in
@@ -1930,7 +1843,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
                 let actual = Instance.func_type inst.funcs.(fi) in
                 if not (Types.func_type_equal ety actual) then
                   Rt.trap "indirect call type mismatch";
-                call_function st fi (st.opbase + hbase) param_tys result_tys);
+                call_function st fi (st.opbase + hbase) param_tys);
             next);
         `Live
   in
@@ -1944,7 +1857,6 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
      to the singleton sequence; static stack updates reuse the same
      push/pop helpers so typing and frame-height accounting are exactly
      what the singletons would have produced. *)
-  let local_ok i = i < Array.length local_tys in
   let try_fuse labels (body : Code.instr array) i : int =
     let n = Array.length body in
     let at k = if i + k < n then Some body.(i + k) else None in
@@ -1956,8 +1868,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
         Some (Code.Basic (Ast.ITestop Ast.W32, _)),
         Some (Code.BrIf l) )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
+      when local_tys.(a) = Types.I32
            && local_tys.(bl) = Types.I32 ->
         push Types.I32;
         push Types.I32;
@@ -1990,8 +1901,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IRelop (Ast.W32, op), _)),
         Some (Code.BrIf l),
         _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
+      when local_tys.(a) = Types.I32
            && local_tys.(bl) = Types.I32 ->
         push Types.I32;
         push Types.I32;
@@ -2024,8 +1934,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.LocalGet bl, _)),
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _ )
-      when local_ok v0 && local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
+      when local_tys.(a) = Types.I32
            && local_tys.(bl) = Types.I32
            && i32_binop_fusable op ->
         let h0 = !h in
@@ -2060,8 +1969,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _,
         _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.I32
+      when local_tys.(a) = Types.I32
            && local_tys.(bl) = Types.I32
            && i32_binop_fusable op ->
         push Types.I32;
@@ -2093,8 +2001,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.FBinop (Ast.W64, op), _)),
         _,
         _ )
-      when local_ok a && local_ok bl
-           && local_tys.(a) = Types.F64
+      when local_tys.(a) = Types.F64
            && local_tys.(bl) = Types.F64 ->
         push Types.F64;
         push Types.F64;
@@ -2171,12 +2078,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
         _,
         _ )
-      when local_ok a && local_ok bl && mem_idx <> None
-           && (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64)
-           && local_tys.(bl) = sty
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
+      when (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64)
+           && local_tys.(bl) = sty ->
         push local_tys.(a);
         push local_tys.(bl);
         pop_ty local_tys.(bl);
@@ -2206,8 +2109,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         Some (Code.Basic (Ast.LocalSet d, _)),
         _ )
-      when local_ok a && local_ok d
-           && local_tys.(a) = Types.I32
+      when local_tys.(a) = Types.I32
            && local_tys.(d) = Types.I32
            && i32_binop_fusable op ->
         push Types.I32;
@@ -2254,7 +2156,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.IBinop (Ast.W32, op), _)),
         _,
         _ )
-      when local_ok a && local_tys.(a) = Types.I32 && i32_binop_fusable op ->
+      when local_tys.(a) = Types.I32
+           && i32_binop_fusable op ->
         push Types.I32;
         push Types.I32;
         pop_ty Types.I32;
@@ -2284,11 +2187,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok a && mem_idx <> None
-           && (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64)
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
+      when (local_tys.(a) = Types.I32 || local_tys.(a) = Types.I64) ->
         push local_tys.(a);
         pop_ty local_tys.(a);
         push lty;
@@ -2317,7 +2216,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok a && local_ok d && local_tys.(a) = local_tys.(d) ->
+      when local_tys.(a) = local_tys.(d) ->
         push local_tys.(a);
         pop_ty local_tys.(d);
         emit1 (fun next st ->
@@ -2337,8 +2236,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok bl
-           && local_tys.(bl) = Types.I32
+      when local_tys.(bl) = Types.I32
            && i32_binop_fusable op
            && (match !ts with Types.I32 :: _ -> true | _ -> false) ->
         push Types.I32;
@@ -2395,8 +2293,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok bl
-           && local_tys.(bl) = Types.F64
+      when local_tys.(bl) = Types.F64
            && (match !ts with Types.F64 :: _ -> true | _ -> false) ->
         push Types.F64;
         pop_ty Types.F64;
@@ -2476,8 +2373,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok v
-           && local_tys.(v) = Types.F64
+      when local_tys.(v) = Types.F64
            && (match !ts with
               | Types.F64 :: Types.F64 :: _ -> true
               | _ -> false) ->
@@ -2554,14 +2450,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok v && mem_idx <> None
-           && local_tys.(v) = sty
+      when local_tys.(v) = sty
            && (match !ts with
               | (Types.I32 | Types.I64) :: _ -> true
-              | _ -> false)
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
+              | _ -> false) ->
         push local_tys.(v);
         pop_ty sty;
         let addr_ty = pop_addr () in
@@ -2591,8 +2483,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.FBinop (Ast.W64, fop), _)),
         _,
         _ )
-      when mem_idx <> None
-           && (match fop with
+      when (match fop with
               | Ast.FAdd | Ast.FSub | Ast.FMul | Ast.FDiv -> true
               | _ -> false)
            && (match !ts with
@@ -2691,14 +2582,10 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         Some (Code.Basic (Ast.Store (sty, pack, ma), sid)),
         _,
         _ )
-      when local_ok v && mem_idx <> None
-           && local_tys.(v) = sty
+      when local_tys.(v) = sty
            && (match !ts with
               | Types.I32 :: Types.I32 :: _ -> true
-              | _ -> false)
-           && (match store_kind sty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
+              | _ -> false) ->
         pop_ty Types.I32;
         pop_ty Types.I32;
         push Types.I32;
@@ -2736,13 +2623,9 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when mem_idx <> None
-           && (match !ts with
+      when (match !ts with
               | Types.I32 :: Types.I32 :: _ -> true
-              | _ -> false)
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false) ->
+              | _ -> false) ->
         pop_ty Types.I32;
         pop_ty Types.I32;
         push Types.I32;
@@ -2778,11 +2661,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         _,
         _,
         _ )
-      when local_ok j && mem_idx <> None
-           && local_tys.(j) = lty
-           && (match load_kind lty pack with
-              | _ -> true
-              | exception Unsupported _ -> false)
+      when local_tys.(j) = lty
            && (match !ts with
               | (Types.I32 | Types.I64) :: _ -> true
               | _ -> false) ->
@@ -2939,12 +2818,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         emit1 (fun next st ->
             tick st.inst;
             next);
-        let ft = compile_seq (fr :: labels) inner in
-        if ft then begin
-          match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "block end stack mismatch"
-        end;
+        if compile_seq (fr :: labels) inner then fr.l_merge <- Some !ts;
         fr.l_target := !count;
         match fr.l_merge with
         | Some s ->
@@ -2994,11 +2868,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
               <> 0L
             then next
             else !else_ref);
-        let ft_then = compile_seq (fr :: labels) then_ in
-        if ft_then then begin
-          (match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "if join stack mismatch");
+        if compile_seq (fr :: labels) then_ then begin
+          fr.l_merge <- Some !ts;
           (* jump over the else arm (no tick: synthetic control) *)
           if Array.length else_ > 0 then
             emit1 (fun _next _st -> !(fr.l_target))
@@ -3006,12 +2877,7 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         else_ref := !count;
         ts := entry_ts;
         h := entry_h;
-        let ft_else = compile_seq (fr :: labels) else_ in
-        if ft_else then begin
-          match fr.l_merge with
-          | None -> fr.l_merge <- Some !ts
-          | Some s -> if s <> !ts then unsupported "if join stack mismatch"
-        end;
+        if compile_seq (fr :: labels) else_ then fr.l_merge <- Some !ts;
         fr.l_target := !count;
         match fr.l_merge with
         | Some s ->
@@ -3060,15 +2926,16 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
             in
             act st);
         `Dead
-    | Code.Return _arity ->
+    | Code.Return arity ->
         incr n_instrs;
-        let move = exit_move () in
-        let exit_ref = (List.nth labels (List.length labels - 1)).l_target in
+        (* [return] is a branch to the function label, the outermost *)
+        let act =
+          branch_action labels { depth = List.length labels - 1; arity }
+        in
         emit1 (fun _next st ->
             tick st.inst;
             mtr.return_ <- mtr.return_ + 1;
-            move st;
-            !exit_ref);
+            act st);
         `Dead
   in
   (* ---------------------------------------------------------------- *)
@@ -3080,22 +2947,22 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
       l_target = exit_ref;
       l_kind = `Func;
       l_arity = result_arity;
-      l_entry = rev_results;
+      l_entry = [];
       l_merge = None;
     }
   in
-  try
-    let ft = compile_seq [ func_frame ] code.body in
-    if ft then begin
-      let move = exit_move () in
-      if !h > result_arity && result_arity > 0 then
-        emit1 (fun next st ->
-            move st;
-            next)
-    end;
-    exit_ref := !count;
-    let ops = Array.of_list (List.rev !rev_ops) in
-    let stats =
+  (* a validated body that falls off its end leaves exactly the
+     results: nothing to move *)
+  if compile_seq [ func_frame ] code.body then assert (!h = result_arity);
+  exit_ref := !count;
+  {
+    ops = Array.of_list (List.rev !rev_ops);
+    nparams;
+    nlocals;
+    result_arity;
+    result_tys = Array.of_list ty.results;
+    frame_slots = nparams + nlocals + !max_h;
+    stats =
       {
         st_name = name;
         st_instrs = !n_instrs;
@@ -3103,33 +2970,8 @@ let compile ~(m : Ast.module_) ~(name : string) ~(ty : Types.func_type)
         st_idioms = List.map (fun (k, r) -> (k, !r)) !idioms;
         st_accesses = !n_acc;
         st_elided = !n_elided;
-        st_supported = true;
-      }
-    in
-    ( Some
-        {
-          ops;
-          nparams;
-          nlocals;
-          result_arity;
-          result_tys = Array.of_list ty.results;
-          frame_slots = nparams + nlocals + !max_h;
-          stats;
-        },
-      stats )
-  with Unsupported _ ->
-    let stats =
-      {
-        st_name = name;
-        st_instrs = 0;
-        st_fused = 0;
-        st_idioms = [];
-        st_accesses = 0;
-        st_elided = 0;
-        st_supported = false;
-      }
-    in
-    (None, stats)
+      };
+  }
 
 (** Compile every local function of an instantiated module, filling the
     [xcode] slots of its [Wasm_func]s in place. Called by
@@ -3146,16 +2988,15 @@ let compile_instance (inst : Instance.t) =
       match fi with
       | Instance.Host_func _ -> ()
       | Instance.Wasm_func ({ func; ty; code; _ } as w) ->
-          let xf, _stats =
-            compile ~m:inst.module_
-              ~name:(Instance.func_name inst i)
-              ~ty ~func ~code ~mtr
-          in
-          w.xcode <- xf)
+          w.xcode <-
+            Some
+              (compile ~m:inst.module_
+                 ~name:(Instance.func_name inst i)
+                 ~ty ~func ~code ~mtr))
     inst.funcs
 
-(** Compile all functions of a module without instantiating it — the
-    [cagec --Wfusion] entry point. Returns per-function stats in
+(** Compile all functions of a validated module without instantiating
+    it — the [cagec --Wfusion] entry point. Returns per-function stats in
     function-index order (local functions only). [elide] is the static
     analyzer's bitset array, as passed to instantiation. *)
 let module_stats ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
@@ -3175,5 +3016,5 @@ let module_stats ?(elide = [||]) ?(belide = [||]) ?(arena = [||])
         | Some n -> n
         | None -> Printf.sprintf "f%d" (Ast.num_imports m + j)
       in
-      snd (compile ~m ~name ~ty ~func:f ~code ~mtr:(Meter.create ())))
+      (compile ~m ~name ~ty ~func:f ~code ~mtr:(Meter.create ())).stats)
     m.funcs

@@ -1,14 +1,15 @@
-(** The execution driver: instantiation, invocation, and the
-    tree-walking interpreter.
+(** The execution driver: validation-gated instantiation, invocation,
+    and the tree-walking reference evaluator.
 
-    Since the threaded-code engine landed, this module is a thin layer:
-    numeric semantics live in {!Numerics}, the engine-shared runtime
-    services (obs ticks, fuel, deferred-fault draining, Cage segment
-    instruction bodies) in {!Rt}, checked memory access in {!Checked},
-    and the hot path of a [Threaded]-engine instance in {!Compile}. The
-    tree walker below remains the reference semantics — it executes any
-    module, validated or not — and the per-function fallback for bodies
-    the threaded compiler declines.
+    [instantiate] validates the module before it allocates anything, so
+    every function either engine runs is well typed. Numeric semantics
+    live in {!Numerics}, the engine-shared runtime services (obs ticks,
+    fuel, deferred-fault draining, Cage segment instruction bodies) in
+    {!Rt}, checked memory access in {!Checked}, and the production
+    engine — every function of a [Threaded] instance — in {!Compile}.
+    The tree walker below drives [Interp] instances only: it is the
+    reference the engine differential and the parity tests hold the
+    threaded engine to.
 
     Loads and stores check allocation tags when the instance was
     instantiated with [enforce_tags] (Eqs. 1-4); the five Cage
@@ -30,7 +31,7 @@ let max_call_depth = Rt.max_call_depth
 
 let pop stack =
   match !stack with
-  | [] -> trap "operand stack underflow (unvalidated module?)"
+  | [] -> assert false (* validated: the operand stack never underflows *)
   | v :: rest ->
       stack := rest;
       v
@@ -126,11 +127,9 @@ let do_store ?elide ?ebounds (inst : Instance.t) stack (ty : Types.num_type)
 (* ------------------------------------------------------------------ *)
 
 (* Take a prepared branch: the target depth and the label's arity were
-   resolved at instantiation (O(1) here); a label index that had no
-   enclosing block is a hard trap, never a silent arity-0 branch. *)
-let take_branch stack : Code.label -> 'a = function
-  | Code.L { depth; arity } -> raise (Branch (depth, popn stack arity))
-  | Code.Bad_label n -> trap "branch depth %d out of range" n
+   resolved at instantiation (O(1) here). *)
+let take_branch stack ({ depth; arity } : Code.label) =
+  raise (Branch (depth, popn stack arity))
 
 (* [fn] is the current prepared function, threaded down so the
    Load/Store and segment dispatches can test its elision bitsets
@@ -145,16 +144,24 @@ and eval_instr (inst : Instance.t) ~depth ~fn locals stack
   Rt.obs_tick inst;
   match ins with
   | Code.Basic (i, id) -> eval_basic inst ~depth ~fn locals stack i id
+  (* A branch to a label unwinds the operand stack to the label's base
+     — the stack as the block found it — before its values land, so
+     operands left beneath them are discarded. *)
   | Code.Block (_, body) -> (
+      let base = !stack in
       try eval inst ~depth ~fn locals stack body with
-      | Branch (0, vs) -> List.iter (push stack) vs
+      | Branch (0, vs) ->
+          stack := base;
+          List.iter (push stack) vs
       | Branch (n, vs) -> raise (Branch (n - 1, vs)))
   | Code.Loop body ->
+      let base = !stack in
       let rec iter () =
         match eval inst ~depth ~fn locals stack body with
         | () -> ()
         | exception Branch (0, _) ->
             Rt.meter_br inst;
+            stack := base;
             iter ()
         | exception Branch (n, vs) -> raise (Branch (n - 1, vs))
       in
@@ -162,9 +169,12 @@ and eval_instr (inst : Instance.t) ~depth ~fn locals stack
   | Code.If (_, then_, else_) -> (
       Rt.meter_br inst;
       let c = pop_i32 stack in
+      let base = !stack in
       let body = if not (Int32.equal c 0l) then then_ else else_ in
       try eval inst ~depth ~fn locals stack body with
-      | Branch (0, vs) -> List.iter (push stack) vs
+      | Branch (0, vs) ->
+          stack := base;
+          List.iter (push stack) vs
       | Branch (n, vs) -> raise (Branch (n - 1, vs)))
   | Code.Br l ->
       Rt.meter_br inst;
@@ -430,17 +440,9 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
           (Obs.Event.Func_enter { idx = i; name = Instance.func_name inst i })
       end;
       let results =
-        (* the threaded body assumes arguments of the declared types;
-           an unvalidated caller can push anything, so mis-typed
-           argument lists take the interpreter path, which reproduces
-           the lenient dynamic ("expected i32"-style) semantics *)
         match xcode with
-        | Some xf
-          when List.for_all2
-                 (fun v t -> Values.type_of v = t)
-                 args ty.params ->
-            Compile.run_body inst ~depth xf args
-        | _ ->
+        | Some xf -> Compile.run_body inst ~depth xf args
+        | None ->
             let locals =
               Array.of_list (args @ List.map Values.default func.locals)
             in
@@ -468,25 +470,15 @@ and invoke_idx (inst : Instance.t) ~depth stack i =
       | [] -> ());
       List.iter (push stack) results
 
-(* The interpreter side of the engine bridge: a threaded frame calling
-   a function the compiler declined routes through here. [invoke_idx]
-   performs the depth check and fuel burn itself, which is why
-   [Compile.call_function] does not pre-pay them on this arm. *)
-let () =
-  Compile.interp_call :=
-    fun inst depth fi args ->
-      let stack = ref [] in
-      List.iter (push stack) args;
-      invoke_idx inst ~depth stack fi;
-      List.rev !stack
-
 (* ------------------------------------------------------------------ *)
 (* Instantiation                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let instance_counter = ref 0
 
-(** Instantiate a validated module. [imports] supplies host functions by
+(** Validate and instantiate a module. An invalid module raises
+    {!Instance.Invalid_module} before anything is allocated (the
+    instance counter included). [imports] supplies host functions by
     (module, name); missing imports raise {!Instance.Trap}. Data and
     element segments are applied and the start function runs before the
     instance is returned, as the spec requires. Under the [Threaded]
@@ -497,6 +489,9 @@ let instance_counter = ref 0
 let instantiate ?(config = Instance.default_config)
     ?(imports : (string * string * Instance.host_func) list = [])
     (m : Ast.module_) : Instance.t =
+  (match Validate.validate m with
+  | Ok () -> ()
+  | Error msg -> raise (Invalid_module msg));
   incr instance_counter;
   let id = !instance_counter in
   let rng = Random.State.make [| config.seed; id |] in
@@ -554,7 +549,6 @@ let instantiate ?(config = Instance.default_config)
       fuel = config.fuel;
       call_stack = [];
       last_fault = None;
-      engine = config.engine;
     }
   in
   let n_imports = List.length m.imports in
@@ -607,19 +601,28 @@ let instantiate ?(config = Instance.default_config)
     m.start;
   inst
 
-(** Call an exported function by name. *)
-let invoke inst name args =
-  match Instance.exported_func inst name with
-  | None -> raise (Trap (Printf.sprintf "no exported function %S" name))
-  | Some i ->
-      let stack = ref [] in
-      List.iter (push stack) args;
-      invoke_idx inst ~depth:0 stack i;
-      List.rev !stack
-
-(** Call a function by index (used by the libc shims). *)
+(** Call a function by index (used by the libc shims). The host
+    boundary is the one place untyped values enter a validated module:
+    arguments that do not match the callee's parameter types trap here,
+    identically on both engines, before the callee runs. *)
 let invoke_function inst i args =
+  let params = (func_type inst.funcs.(i)).params in
+  if
+    List.compare_lengths args params <> 0
+    || not (List.for_all2 (fun v t -> Values.type_of v = t) args params)
+  then
+    trap "invoke %s: arguments (%s) do not match parameters (%s)"
+      (Instance.func_name inst i)
+      (String.concat " "
+         (List.map (fun v -> Types.string_of_num_type (Values.type_of v)) args))
+      (String.concat " " (List.map Types.string_of_num_type params));
   let stack = ref [] in
   List.iter (push stack) args;
   invoke_idx inst ~depth:0 stack i;
   List.rev !stack
+
+(** Call an exported function by name. *)
+let invoke inst name args =
+  match Instance.exported_func inst name with
+  | None -> raise (Trap (Printf.sprintf "no exported function %S" name))
+  | Some i -> invoke_function inst i args

@@ -8,12 +8,17 @@
 
 exception Trap of string
 
-(** Which execution engine drives an instance. [Threaded] (the default)
-    lowers every validated function into flat threaded code at
-    instantiation ({!Compile}) and falls back to the tree-walking
-    interpreter per function when lowering declines; [Interp] forces
-    the interpreter everywhere. Both are observationally identical —
-    same results, traps, meter totals, obs events and chaos draws. *)
+(** Raised by instantiation when the module fails {!Validate}: no
+    instance is created and nothing runs. *)
+exception Invalid_module of string
+
+(** Which evaluator drives an instance. Modules are validated at load,
+    and [Threaded] (the production engine, the default) lowers every
+    local function into flat threaded code at instantiation
+    ({!Compile}). [Interp] is the reference evaluator: the tree-walker
+    the engine differential and the parity tests run beside it. Both are
+    observationally identical — same results, traps, meter totals, obs
+    events and chaos draws. *)
 type engine = Interp | Threaded
 
 (** A host function receives the calling instance (so WASI-style
@@ -30,9 +35,9 @@ and func_inst =
           (** body prepared at instantiation: label arities and
               br_table targets resolved, O(1) at branch time *)
       mutable xcode : t Xcode.func option;
-          (** the same body lowered to threaded code ([None] when the
-              engine is [Interp] or the function is not lowerable);
-              filled in at instantiation, after the instance exists *)
+          (** the same body lowered to threaded code ([None] exactly
+              when the engine is [Interp]); filled in at instantiation,
+              after the instance exists *)
     }
   | Host_func of { fn : host_func; ty : Types.func_type; name : string }
 
@@ -67,7 +72,6 @@ and t = {
       (** structured record of the most recent tag fault raised as a
           trap — the faulting address / tags / access kind a post-mortem
           reports without re-parsing the trap message *)
-  engine : engine;  (** which execution engine drives this instance *)
 }
 
 (** Runtime configuration for instantiation, reflecting the Table 3

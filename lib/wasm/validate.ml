@@ -22,6 +22,18 @@ let error fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
 type op = Known of Types.val_type | Unknown
 
+(* One shared value per type: pushing an operand allocates nothing. *)
+let known_i32 = Known Types.I32
+let known_i64 = Known Types.I64
+let known_f32 = Known Types.F32
+let known_f64 = Known Types.F64
+
+let known : Types.val_type -> op = function
+  | Types.I32 -> known_i32
+  | Types.I64 -> known_i64
+  | Types.F32 -> known_f32
+  | Types.F64 -> known_f64
+
 type frame = {
   label_types : Types.val_type list;  (** types br to this label expects *)
   end_types : Types.val_type list;
@@ -34,26 +46,33 @@ type ctx = {
   cage : bool;
   locals : Types.val_type array;
   ret : Types.val_type list;
-  mutable ops : op list;
+  mutable ops : op array;  (** operand stack, bottom first; grown on demand *)
+  mutable nops : int;      (** its height *)
   mutable ctrls : frame list;
 }
 
-let push ctx t = ctx.ops <- Known t :: ctx.ops
-let push_unknown ctx = ctx.ops <- Unknown :: ctx.ops
+let push_op ctx o =
+  if ctx.nops = Array.length ctx.ops then begin
+    let ops = Array.make (max 16 (2 * ctx.nops)) Unknown in
+    Array.blit ctx.ops 0 ops 0 ctx.nops;
+    ctx.ops <- ops
+  end;
+  ctx.ops.(ctx.nops) <- o;
+  ctx.nops <- ctx.nops + 1
+
+let push ctx t = push_op ctx (known t)
+let push_unknown ctx = push_op ctx Unknown
 
 let pop_any ctx =
   match ctx.ctrls with
   | [] -> error "control stack empty"
   | frame :: _ ->
-      if List.length ctx.ops = frame.height then
+      if ctx.nops = frame.height then
         if frame.unreachable then Unknown
         else error "operand stack underflow"
       else begin
-        match ctx.ops with
-        | [] -> error "operand stack underflow"
-        | o :: rest ->
-            ctx.ops <- rest;
-            o
+        ctx.nops <- ctx.nops - 1;
+        ctx.ops.(ctx.nops)
       end
 
 let pop ctx t =
@@ -65,13 +84,21 @@ let pop ctx t =
           (Types.string_of_num_type t)
           (Types.string_of_num_type t')
 
-let pop_list ctx ts = List.iter (pop ctx) (List.rev ts)
-let push_list ctx ts = List.iter (push ctx) ts
+let rec pop_list ctx = function
+  | [] -> ()
+  | t :: rest ->
+      pop_list ctx rest;
+      pop ctx t
+
+let rec push_list ctx = function
+  | [] -> ()
+  | t :: rest ->
+      push ctx t;
+      push_list ctx rest
 
 let push_frame ctx ~label_types ~end_types =
   ctx.ctrls <-
-    { label_types; end_types; height = List.length ctx.ops;
-      unreachable = false }
+    { label_types; end_types; height = ctx.nops; unreachable = false }
     :: ctx.ctrls
 
 let pop_frame ctx =
@@ -79,7 +106,7 @@ let pop_frame ctx =
   | [] -> error "control stack empty"
   | frame :: rest ->
       pop_list ctx frame.end_types;
-      if List.length ctx.ops <> frame.height then
+      if ctx.nops <> frame.height then
         error "values left on stack at end of block";
       ctx.ctrls <- rest;
       frame
@@ -89,10 +116,7 @@ let set_unreachable ctx =
   | [] -> error "control stack empty"
   | frame :: _ ->
       (* drop operands down to the frame height *)
-      let rec drop ops n = if n <= 0 then ops else
-          match ops with [] -> [] | _ :: tl -> drop tl (n - 1)
-      in
-      ctx.ops <- drop ctx.ops (List.length ctx.ops - frame.height);
+      ctx.nops <- frame.height;
       frame.unreachable <- true
 
 let label_types ctx n =
@@ -365,9 +389,15 @@ let rec instr ctx (ins : Ast.instr) =
       pop ctx Types.I64;
       push ctx Types.I64
 
-and seq ctx = List.iter (instr ctx)
+and seq ctx = function
+  | [] -> ()
+  | i :: rest ->
+      instr ctx i;
+      seq ctx rest
 
-let validate_func (m : Ast.module_) ~cage (f : Ast.func) =
+(* [ops] is the operand-stack buffer, shared by every function of a
+   module; the (possibly grown) buffer is returned for the next one. *)
+let validate_func (m : Ast.module_) ~cage ops (f : Ast.func) =
   let ft =
     match List.nth_opt m.types f.ftype with
     | Some ft -> ft
@@ -379,7 +409,8 @@ let validate_func (m : Ast.module_) ~cage (f : Ast.func) =
       cage;
       locals = Array.of_list (ft.params @ f.locals);
       ret = ft.results;
-      ops = [];
+      ops;
+      nops = 0;
       ctrls = [];
     }
   in
@@ -389,7 +420,8 @@ let validate_func (m : Ast.module_) ~cage (f : Ast.func) =
      error "in function %s: %s"
        (Option.value f.fname ~default:"<anon>")
        msg);
-  ignore (pop_frame ctx)
+  ignore (pop_frame ctx);
+  ctx.ops
 
 let validate_module (m : Ast.module_) ~cage =
   (* memory limits *)
@@ -436,7 +468,7 @@ let validate_module (m : Ast.module_) ~cage =
   Option.iter
     (fun i ->
       let ctx =
-        { m; cage; locals = [||]; ret = []; ops = []; ctrls = [] }
+        { m; cage; locals = [||]; ret = []; ops = [||]; nops = 0; ctrls = [] }
       in
       let ft = type_of_func ctx i in
       if ft.params <> [] || ft.results <> [] then
@@ -453,7 +485,8 @@ let validate_module (m : Ast.module_) ~cage =
           if i <> 0 || m.memory = None then
             error "export %s: memory index out of range" ex.ex_name)
     m.exports;
-  List.iter (validate_func m ~cage) m.funcs
+  ignore
+    (List.fold_left (validate_func m ~cage) (Array.make 64 Unknown) m.funcs)
 
 (** Validate a module. [cage] enables the Cage extension instructions
     (default true, as this toolchain exists to exercise them). *)

@@ -326,6 +326,33 @@ let test_arena_lowering_runtime () =
   Alcotest.(check bool) "span checks elided too" true
     (m1.Wasm.Meter.elided_bounds > 0)
 
+let test_spawned_instance_gets_full_plan () =
+  (* an instance spawned through a process installs every level of the
+     plan its configuration enables — span-check elision and arena
+     lowering too, not only the tag bits *)
+  let cfg =
+    Cage.Config.with_arena (Cage.Config.with_bounds_elision Cage.Config.full)
+  in
+  let m =
+    (Minic.Driver.compile
+       ~opts:(Minic.Driver.options_of_config cfg)
+       ~prelude:(Libc.Source.prelude_of_config cfg)
+       arena_source)
+      .Minic.Driver.co_module
+  in
+  let sup = Cage.Supervisor.create (Cage.Process.create ~config:cfg ()) in
+  let meter = Wasm.Meter.create () in
+  let imports = Libc.Wasi.imports (Libc.Wasi.create ()) in
+  let inst = Cage.Supervisor.spawn ~meter ~imports sup m in
+  (match Cage.Supervisor.run sup inst "main" [] with
+  | Cage.Supervisor.Finished [ Wasm.Values.I32 28l ] -> ()
+  | _ -> Alcotest.fail "spawned arena_source did not return 28");
+  Alcotest.(check bool) "span checks elided" true
+    (meter.Wasm.Meter.elided_bounds > 0);
+  Alcotest.(check bool) "arena skips tag writes" true
+    (meter.Wasm.Meter.arena_new_granules > 0
+    && meter.Wasm.Meter.arena_free_granules > 0)
+
 let bits_subset ~sub ~super =
   let ok = ref true in
   Array.iteri
@@ -400,6 +427,8 @@ let () =
           tc "call_indirect conservative" test_call_indirect_conservative;
           tc "summary invalidated by free" test_summary_invalidated_by_free;
           tc "arena lowering runtime" test_arena_lowering_runtime;
+          tc "spawned instance gets full plan"
+            test_spawned_instance_gets_full_plan;
           tc "spec-safe plan subset" test_spec_safe_plan_subset;
           tc "no-spec-elide runtime" test_no_spec_elide_runtime;
         ] );

@@ -667,12 +667,57 @@ let test_served_sites_recover () =
   (* the serving path absorbs a single-shot tag flip: crash, retry on
      a pristine snapshot, succeed *)
   let cell =
-    Harness.Serve_bench.served_cell ~engine:Wasm.Instance.Threaded
-      ~full:false ~seed:7 ~index:1
+    Harness.Serve_bench.served_cell ~full:false ~seed:7 ~index:1
       Arch.Fault_inject.Tag_flip Arch.Mte.Sync
   in
   Alcotest.(check string) "tag-flip x sync recovers through serving"
     "recovered" cell
+
+exception Stuck
+
+let test_freed_core_redispatched () =
+  (* A job that waits for a core while another finishes must get that
+     core at once, even with no later arrival. This cast, seed and size
+     once left a job waiting after the last arrival: the run never
+     ended, kept alive by the heal timer alone. A run of this size
+     takes tens of milliseconds; the alarm bounds a regression. *)
+  let fuzz (name, seed, weight) =
+    Harness.Serve_bench.tenant_of_source Cage.Config.full ~name ~weight ~seed:0
+      (Workloads.Fuzzgen.render (Workloads.Fuzzgen.generate ~seed))
+  in
+  let tenants =
+    List.map fuzz [ ("fuzz_a", 0xF5EED, 6); ("fuzz_b", 0xF5EEE, 2) ]
+    @ [ Harness.Serve_bench.tenant_of_source Cage.Config.full
+          ~name:"malicious" ~weight:1 ~seed:2 ~expect:false
+          Harness.Serve_bench.malicious_source ]
+  in
+  let seed = 1034 and requests = 200 in
+  let config =
+    { Serve.Server.default_config with Serve.Server.requests; seed;
+      arrival_gap = 8_000 }
+  in
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Stuck))
+  in
+  let finish () =
+    ignore (Unix.alarm 0);
+    Sys.set_signal Sys.sigalrm old
+  in
+  ignore (Unix.alarm 20);
+  match
+    Serve.Server.run ~chaos:(Harness.Serve_bench.chaos_policy ~seed) config
+      tenants
+  with
+  | exception Stuck ->
+      finish ();
+      Alcotest.fail "Server.run never finished: a freed core stayed idle"
+  | r ->
+      finish ();
+      Alcotest.(check int) "every request accounted" requests
+        r.Serve.Server.rp_requests;
+      Alcotest.(check int) "ok + failed + shed = requests" requests
+        (r.Serve.Server.rp_ok + r.Serve.Server.rp_failed
+       + r.Serve.Server.rp_shed)
 
 (* ------------------------------------------------------------------ *)
 
@@ -733,5 +778,7 @@ let () =
             test_served_sites_recover;
           Alcotest.test_case "span stitching e2e" `Quick
             test_span_stitching_e2e;
+          Alcotest.test_case "freed core redispatched" `Quick
+            test_freed_core_redispatched;
         ] );
     ]

@@ -406,6 +406,20 @@ let test_validate_stack_underflow () =
   expect_invalid ~substring:"underflow"
     (module_of [ (ft [] [ Types.I32 ], [], [ Ast.IBinop (Ast.W32, Ast.Add) ]) ])
 
+let test_validate_deep_stack () =
+  (* an operand stack far deeper than the validator's initial buffer:
+     still typed exactly, still balanced at the end *)
+  let n = 300 in
+  let body =
+    List.init n (fun i -> Ast.I32Const (Int32.of_int i))
+    @ List.init (n - 1) (fun _ -> Ast.IBinop (Ast.W32, Ast.Add))
+  in
+  (match Validate.validate (module_of [ (ft [] [ Types.I32 ], [], body) ]) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "deep stack rejected: %s" e);
+  expect_invalid ~substring:"values left on stack"
+    (module_of [ (ft [] [ Types.I32 ], [], Ast.I64Const 0L :: body) ])
+
 let test_validate_bad_br_depth () =
   expect_invalid ~substring:"branch depth"
     (module_of [ (ft [] [], [], [ Ast.Br 3 ]) ])
@@ -787,9 +801,9 @@ let test_memory_grow_zero_queries () =
   Alcotest.(check (list value)) "contents preserved" [ Values.I64 7L ]
     (Exec.invoke inst "f1" [])
 
-let test_br_table_bad_label_traps () =
-  (* an unvalidated body whose br_table label has no enclosing block
-     must hard-trap, not silently branch with a guessed arity *)
+let test_br_table_bad_label_rejected () =
+  (* a br_table label with no enclosing block never runs: instantiation
+     validates the module and rejects it with the typed error *)
   let m =
     module_of
       [ (ft [] [], [],
@@ -797,8 +811,11 @@ let test_br_table_bad_label_traps () =
              (Ast.ValBlock None,
               [ Ast.I32Const 0l; Ast.BrTable ([ 5 ], 6) ]) ]) ]
   in
-  let inst = Exec.instantiate m in
-  expect_trap ~substring:"out of range" (fun () -> Exec.invoke inst "f0" [])
+  match Exec.instantiate m with
+  | _ -> Alcotest.fail "instantiated an invalid module"
+  | exception Instance.Invalid_module msg ->
+      if not (Astring.String.is_infix ~affix:"out of range" msg) then
+        Alcotest.failf "rejection %S does not name the bad label" msg
 
 let test_pointer_sign_auth_roundtrip () =
   let m =
@@ -1263,6 +1280,7 @@ let () =
         [
           tc "type mismatch" test_validate_type_mismatch;
           tc "stack underflow" test_validate_stack_underflow;
+          tc "deep operand stack" test_validate_deep_stack;
           tc "bad br depth" test_validate_bad_br_depth;
           tc "leftover values" test_validate_leftover_values;
           tc "immutable global" test_validate_immutable_global;
@@ -1314,7 +1332,7 @@ let () =
           tc "zero-length fill/copy at boundary"
             test_zero_length_bulk_at_boundary;
           tc "memory.grow 0 queries" test_memory_grow_zero_queries;
-          tc "br_table bad label hard-traps" test_br_table_bad_label_traps;
+          tc "br_table bad label rejected" test_br_table_bad_label_rejected;
         ] );
       ("wasm-properties", qtests);
     ]
